@@ -55,6 +55,13 @@ impl BoxSummary {
 /// the smallest uncovered store, expanding one dimension at a time as far
 /// as the set allows.
 ///
+/// The work runs on rows (see [`Universe::rows`]): a slab check is one
+/// all-set range check per row, covering a box clears its rows, the seed
+/// search resumes from the previous seed, and growth along the last
+/// variable reads each row once — the nearest non-member above and below
+/// the box in every row bounds the growth exactly where a slab-by-slab
+/// walk would stop.
+///
 /// # Example
 ///
 /// ```
@@ -70,9 +77,15 @@ impl BoxSummary {
 /// # }
 /// ```
 pub fn summarize(universe: &Universe, set: &StateSet) -> Vec<BoxSummary> {
+    let last = universe.num_vars() - 1;
+    let top = set.capacity() - 1;
     let mut remaining = set.clone();
     let mut boxes = Vec::new();
-    while let Some(seed_idx) = remaining.min_index() {
+    // Covering only removes stores, so the smallest uncovered index never
+    // decreases: each seed search resumes where the previous one stopped.
+    let mut cursor = 0;
+    while let Some(seed_idx) = remaining.first_set_in(cursor, top) {
+        cursor = seed_idx;
         let seed = universe.store_at(seed_idx);
         let mut bounds: Vec<(i64, i64)> = seed.iter().map(|&v| (v, v)).collect();
         // Expand each dimension upward and downward while the whole grown
@@ -82,28 +95,35 @@ pub fn summarize(universe: &Universe, set: &StateSet) -> Vec<BoxSummary> {
         while changed {
             changed = false;
             for d in 0..bounds.len() {
-                let (ulo, uhi) = universe.var_range(d);
-                while bounds[d].1 < uhi && slab_inside(universe, set, &bounds, d, bounds[d].1 + 1) {
-                    bounds[d].1 += 1;
-                    changed = true;
+                let before = bounds[d];
+                if d == last {
+                    bounds[d] = grow_last(universe, set, &bounds);
+                } else {
+                    let (ulo, uhi) = universe.var_range(d);
+                    while bounds[d].1 < uhi
+                        && slab_inside(universe, set, &bounds, d, bounds[d].1 + 1)
+                    {
+                        bounds[d].1 += 1;
+                    }
+                    while bounds[d].0 > ulo
+                        && slab_inside(universe, set, &bounds, d, bounds[d].0 - 1)
+                    {
+                        bounds[d].0 -= 1;
+                    }
                 }
-                while bounds[d].0 > ulo && slab_inside(universe, set, &bounds, d, bounds[d].0 - 1) {
-                    bounds[d].0 -= 1;
-                    changed = true;
-                }
+                changed |= bounds[d] != before;
             }
         }
-        let bx = BoxSummary { bounds };
-        // Remove the covered stores from the remainder.
-        let mut store = vec![0i64; universe.num_vars()];
-        remove_box(universe, &mut remaining, &bx, &mut store, 0);
-        boxes.push(bx);
+        for (a, b) in universe.rows(&bounds) {
+            remaining.clear_range(a, b);
+        }
+        boxes.push(BoxSummary { bounds });
     }
     boxes
 }
 
 /// Checks that the slab `bounds` with dimension `d` pinned to `v` lies
-/// inside `set`.
+/// inside `set`, one all-set check per row.
 fn slab_inside(
     universe: &Universe,
     set: &StateSet,
@@ -111,57 +131,39 @@ fn slab_inside(
     d: usize,
     v: i64,
 ) -> bool {
-    let mut store = vec![0i64; bounds.len()];
-    slab_rec(universe, set, bounds, d, v, &mut store, 0)
+    let mut slab = bounds.to_vec();
+    slab[d] = (v, v);
+    universe.rows(&slab).all(|(a, b)| set.all_in_range(a, b))
 }
 
-fn slab_rec(
-    universe: &Universe,
-    set: &StateSet,
-    bounds: &[(i64, i64)],
-    d: usize,
-    v: i64,
-    store: &mut Vec<i64>,
-    dim: usize,
-) -> bool {
-    if dim == bounds.len() {
-        return match universe.store_index(store) {
-            Some(i) => set.contains(i),
-            None => false,
-        };
-    }
-    if dim == d {
-        store[dim] = v;
-        return slab_rec(universe, set, bounds, d, v, store, dim + 1);
-    }
-    let (lo, hi) = bounds[dim];
-    for x in lo..=hi {
-        store[dim] = x;
-        if !slab_rec(universe, set, bounds, d, v, store, dim + 1) {
-            return false;
+/// The last variable's bounds once grown as far as `set` allows: up to
+/// just below the nearest non-member above the box over all rows, and
+/// down to just above the nearest non-member below it. These are the
+/// bounds a slab-by-slab walk reaches, since growing the last variable
+/// leaves the rows themselves unchanged.
+fn grow_last(universe: &Universe, set: &StateSet, bounds: &[(i64, i64)]) -> (i64, i64) {
+    let last = bounds.len() - 1;
+    let (ulo, uhi) = universe.var_range(last);
+    let (lo, hi) = bounds[last];
+    let (mut new_lo, mut new_hi) = (ulo, uhi);
+    for (start, _) in universe.rows(bounds) {
+        // Index of the store with the last variable at `x` in this row.
+        let at = |x: i64| (start as i64 + (x - lo)) as usize;
+        if new_hi > hi {
+            if let Some(c) = set.first_clear_in(at(hi + 1), at(new_hi)) {
+                new_hi = hi + (c - at(hi)) as i64 - 1;
+            }
+        }
+        if new_lo < lo {
+            if let Some(c) = set.last_clear_in(at(new_lo), at(lo - 1)) {
+                new_lo = lo - (at(lo) - c) as i64 + 1;
+            }
+        }
+        if new_hi == hi && new_lo == lo {
+            break;
         }
     }
-    true
-}
-
-fn remove_box(
-    universe: &Universe,
-    remaining: &mut StateSet,
-    bx: &BoxSummary,
-    store: &mut Vec<i64>,
-    dim: usize,
-) {
-    if dim == bx.bounds.len() {
-        if let Some(i) = universe.store_index(store) {
-            remaining.remove(i);
-        }
-        return;
-    }
-    let (lo, hi) = bx.bounds[dim];
-    for v in lo..=hi {
-        store[dim] = v;
-        remove_box(universe, remaining, bx, store, dim + 1);
-    }
+    (new_lo, new_hi)
 }
 
 /// Renders a full summary as a disjunction of boxes.
@@ -187,6 +189,125 @@ pub fn display_set(universe: &Universe, set: &StateSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use air_lang::gen::XorShift;
+
+    /// The per-store summarizer the row kernels replaced, kept as the
+    /// reference: every slab check and removal decodes one store at a
+    /// time.
+    fn reference_summarize(universe: &Universe, set: &StateSet) -> Vec<BoxSummary> {
+        let mut remaining = set.clone();
+        let mut boxes = Vec::new();
+        while let Some(seed_idx) = remaining.min_index() {
+            let seed = universe.store_at(seed_idx);
+            let mut bounds: Vec<(i64, i64)> = seed.iter().map(|&v| (v, v)).collect();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for d in 0..bounds.len() {
+                    let (ulo, uhi) = universe.var_range(d);
+                    while bounds[d].1 < uhi && slab_ref(universe, set, &bounds, d, bounds[d].1 + 1)
+                    {
+                        bounds[d].1 += 1;
+                        changed = true;
+                    }
+                    while bounds[d].0 > ulo && slab_ref(universe, set, &bounds, d, bounds[d].0 - 1)
+                    {
+                        bounds[d].0 -= 1;
+                        changed = true;
+                    }
+                }
+            }
+            let bx = BoxSummary { bounds };
+            for (i, s) in universe.iter_stores() {
+                if bx.contains(&s) {
+                    remaining.remove(i);
+                }
+            }
+            boxes.push(bx);
+        }
+        boxes
+    }
+
+    fn slab_ref(
+        universe: &Universe,
+        set: &StateSet,
+        bounds: &[(i64, i64)],
+        d: usize,
+        v: i64,
+    ) -> bool {
+        universe.iter_stores().all(|(i, s)| {
+            let in_slab = s.iter().enumerate().all(|(k, &x)| {
+                let (lo, hi) = if k == d { (v, v) } else { bounds[k] };
+                lo <= x && x <= hi
+            });
+            !in_slab || set.contains(i)
+        })
+    }
+
+    /// Universe shapes that stress the row kernels: one to four
+    /// variables, a last variable of range 1, and rows of exactly 64 and
+    /// 128 stores (word-aligned rows).
+    fn shapes() -> Vec<Universe> {
+        [
+            &[("x", -3, 9)][..],
+            &[("x", 0, 127)][..],
+            &[("x", 0, 4), ("y", -2, 2)][..],
+            &[("x", 0, 3), ("y", 0, 63)][..],
+            &[("x", 0, 2), ("y", 0, 127)][..],
+            &[("x", 0, 6), ("y", 5, 5)][..],
+            &[("a", 0, 2), ("b", -1, 1), ("c", 0, 4)][..],
+            &[("a", 0, 3), ("b", 0, 2), ("c", 0, 0)][..],
+            &[("a", 0, 1), ("b", 0, 2), ("c", 0, 1), ("d", 0, 3)][..],
+        ]
+        .iter()
+        .map(|decls| Universe::new(decls).unwrap())
+        .collect()
+    }
+
+    /// Seeded sets of several densities, plus unions of random boxes (the
+    /// shapes repaired points actually take).
+    fn random_sets(u: &Universe, rng: &mut XorShift) -> Vec<StateSet> {
+        let mut out = vec![u.empty(), u.full()];
+        for density in [2, 4, 8, 16] {
+            let picks: Vec<usize> = (0..u.size()).filter(|_| rng.below(16) < density).collect();
+            out.push(StateSet::from_indices(u.size(), picks));
+        }
+        for nboxes in 1..=3 {
+            let boxes: Vec<Vec<(i64, i64)>> = (0..nboxes)
+                .map(|_| {
+                    (0..u.num_vars())
+                        .map(|i| {
+                            let (lo, hi) = u.var_range(i);
+                            let a = rng.range_i64(lo, hi);
+                            let b = rng.range_i64(lo, hi);
+                            (a.min(b), a.max(b))
+                        })
+                        .collect()
+                })
+                .collect();
+            out.push(u.filter(|s| {
+                boxes
+                    .iter()
+                    .any(|b| b.iter().zip(s).all(|(&(lo, hi), &x)| lo <= x && x <= hi))
+            }));
+        }
+        out
+    }
+
+    #[test]
+    fn row_summarizer_matches_per_store_reference() {
+        let mut rng = XorShift::new(0x5eed);
+        for u in shapes() {
+            for _ in 0..4 {
+                for set in random_sets(&u, &mut rng) {
+                    let boxes = summarize(&u, &set);
+                    assert_eq!(boxes, reference_summarize(&u, &set), "on {set:?}");
+                    let covered = u.filter(|st| boxes.iter().any(|b| b.contains(st)));
+                    assert_eq!(covered, set, "cover must be exact");
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_box_summary() {

@@ -1,7 +1,8 @@
 //! Native symbolic backward repair — Algorithm 2 on decision diagrams.
 //!
 //! The generic engines in this crate run on explicit [`StateSet`] bitsets
-//! and [`EnumDomain`] closures; routing their *semantic* queries through a
+//! and [`EnumDomain`](crate::EnumDomain) closures; routing their
+//! *semantic* queries through a
 //! symbolic [`SemCache`](air_lang::SemCache) (the Level-A backend switch)
 //! accelerates `exec`/`wlp`/`sat` but still pays `O(|Σ|)` per abstract
 //! closure, because `EnumDomain` wraps an enumerated `γ∘α`. On universes

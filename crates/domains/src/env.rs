@@ -12,7 +12,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use air_lang::ast::{AExp, BExp};
-use air_lang::Universe;
+use air_lang::{StateSet, Universe};
 
 use crate::congruence::Congruence;
 use crate::constant::Constant;
@@ -296,6 +296,118 @@ impl<V: AbstractValue> Abstraction for EnvDomain<V> {
         match e {
             EnvElem::Bot => false,
             EnvElem::Vals(vs) => vs.iter().zip(store).all(|(v, &x)| v.contains(x)),
+        }
+    }
+
+    /// Row kernel for `α(S) = ∨{α({σ}) | σ ∈ S}`: a nonrelational element
+    /// only depends on each variable's projection of `S`, so this gathers
+    /// the projections one row at a time (the last variable's values as
+    /// runs of members, the others from each non-empty row's index) and
+    /// joins `V::from_const` over them. It stops reading as soon as every
+    /// value of every variable has been seen.
+    fn alpha_set(&self, universe: &Universe, set: &StateSet) -> EnvElem<V> {
+        let n = universe.num_vars();
+        let ranges: Vec<(i64, i64)> = (0..n).map(|i| universe.var_range(i)).collect();
+        let spans: Vec<usize> = ranges
+            .iter()
+            .map(|&(lo, hi)| (hi - lo) as usize + 1)
+            .collect();
+        let last = n - 1;
+        // seen[i][k]: some member has variable i = lo_i + k.
+        let mut seen: Vec<StateSet> = spans.iter().map(|&s| StateSet::new(s)).collect();
+        let mut prefix_unseen: usize = spans[..last].iter().sum();
+        let mut last_full = false;
+        let mut stride = spans[last];
+        let mut strides = vec![0; last];
+        for i in (0..last).rev() {
+            strides[i] = stride;
+            stride *= spans[i];
+        }
+        for (start, end) in universe.rows(&ranges) {
+            if prefix_unseen == 0 && last_full {
+                break;
+            }
+            if !set.any_in_range(start, end) {
+                continue;
+            }
+            for i in 0..last {
+                if seen[i].insert(start / strides[i] % spans[i]) {
+                    prefix_unseen -= 1;
+                }
+            }
+            if !last_full {
+                for (a, b) in set.runs_in(start, end) {
+                    seen[last].fill_range(a - start, b - start);
+                }
+                last_full = seen[last].is_full();
+            }
+        }
+        if seen[0].is_empty() {
+            return EnvElem::Bot;
+        }
+        let vals = seen
+            .iter()
+            .zip(&ranges)
+            .map(|(values, &(lo, _))| {
+                let mut ks = values.iter();
+                let first = ks
+                    .next()
+                    .map_or_else(V::bottom, |k| V::from_const(lo + k as i64));
+                ks.fold(first, |acc, k| acc.join(&V::from_const(lo + k as i64)))
+            })
+            .collect();
+        EnvElem::Vals(vals)
+    }
+
+    /// Row kernel for the enumerated `γ(e)`: a nonrelational element
+    /// admits a product of per-variable value sets, so this splits each
+    /// variable's admitted values into runs and fills, for every box of
+    /// prefix runs, the last variable's runs along each row.
+    fn gamma_set(&self, universe: &Universe, e: &EnvElem<V>) -> StateSet {
+        let mut out = universe.empty();
+        let EnvElem::Vals(vs) = e else {
+            return out;
+        };
+        let n = universe.num_vars();
+        // Per variable, the maximal runs of values its constraint admits
+        // (a variable past the element's arity is unconstrained).
+        let runs: Vec<Vec<(i64, i64)>> = (0..n)
+            .map(|i| {
+                let (lo, hi) = universe.var_range(i);
+                let mut rs: Vec<(i64, i64)> = Vec::new();
+                for x in (lo..=hi).filter(|&x| vs.get(i).is_none_or(|v| v.contains(x))) {
+                    match rs.last_mut() {
+                        Some(r) if r.1 + 1 == x => r.1 = x,
+                        _ => rs.push((x, x)),
+                    }
+                }
+                rs
+            })
+            .collect();
+        if runs.iter().any(Vec::is_empty) {
+            return out;
+        }
+        let last = n - 1;
+        let (llo, lhi) = universe.var_range(last);
+        // Odometer over one run per prefix variable; each pick is a box
+        // whose rows (spanning the last variable's whole range) get the
+        // last variable's runs filled.
+        let mut pick = vec![0usize; last];
+        let mut bounds: Vec<(i64, i64)> = vec![(llo, lhi); n];
+        loop {
+            for i in 0..last {
+                bounds[i] = runs[i][pick[i]];
+            }
+            for (start, _) in universe.rows(&bounds) {
+                for &(a, b) in &runs[last] {
+                    out.fill_range(start + (a - llo) as usize, start + (b - llo) as usize);
+                }
+            }
+            let Some(i) = (0..last).rev().find(|&i| pick[i] + 1 < runs[i].len()) else {
+                return out;
+            };
+            pick[i] += 1;
+            pick[i + 1..].iter_mut().for_each(|p| *p = 0);
         }
     }
 }

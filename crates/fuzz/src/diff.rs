@@ -1,7 +1,7 @@
 //! Pairwise differential sweeps across engine configurations.
 //!
 //! The same instance is pushed through every configuration axis the
-//! ROADMAP exposes — cached vs uncached [`SemCache`](air_lang::SemCache), governed vs
+//! ROADMAP exposes — cached vs uncached [`SemCache`], governed vs
 //! ungoverned, sequential vs [`par_map_governed`] parallelism, the
 //! `LCL_A` prover vs the repair engines, (axis 7) a fault-injected
 //! run recovered by the [`Supervisor`] vs the fault-free run,

@@ -189,9 +189,10 @@ impl SemCache {
     /// a whole engine run over `universe_size` states should drop this
     /// cache and take the direct path.
     ///
-    /// The per-call [`bypass`](Self::bypass) check keeps tiny universes
-    /// off the tables, but each call still pays the branch, the shared
-    /// counter bump and the tracer probe — measurably slower than never
+    /// The per-call bypass check keeps universes at or below
+    /// [`bypass_threshold`](Self::bypass_threshold) off the tables, but
+    /// each call still pays the branch, the shared counter bump and the
+    /// tracer probe — measurably slower than never
     /// asking. Engines (`Verifier`, the repair strategies) instead ask
     /// once up front and, when demoted, run their unmemoized reference
     /// path for the entire call: the hot loop then contains no cache code

@@ -241,6 +241,40 @@ impl Universe {
         (0..self.inner.size).map(|i| (i, self.store_at(i)))
     }
 
+    /// The rows of a box: for per-variable bounds `bounds[i] = (lo, hi)`,
+    /// yields the inclusive index range `(start, end)` of each run of the
+    /// box's stores that agree on every variable but the last. The last
+    /// variable varies fastest, so each such run is contiguous; rows come
+    /// in ascending index order. A box with some `lo > hi` has no rows.
+    /// Set kernels that work a row at a time (see
+    /// [`BitVecSet::fill_range`] and its siblings) use this instead of
+    /// decoding one store per index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` has the wrong arity or a non-empty bound leaves
+    /// its variable's declared range.
+    pub fn rows<'a>(&'a self, bounds: &'a [(i64, i64)]) -> Rows<'a> {
+        let vars = &self.inner.vars;
+        assert_eq!(bounds.len(), vars.len(), "box arity mismatch");
+        let empty = bounds.iter().any(|&(lo, hi)| lo > hi);
+        for (v, &(lo, hi)) in vars.iter().zip(bounds) {
+            assert!(
+                empty || (v.lo <= lo && hi <= v.hi),
+                "box bound [{lo}, {hi}] leaves `{}` ∈ [{}, {}]",
+                v.name,
+                v.lo,
+                v.hi
+            );
+        }
+        Rows {
+            universe: self,
+            bounds,
+            prefix: bounds[..bounds.len() - 1].iter().map(|b| b.0).collect(),
+            done: empty,
+        }
+    }
+
     /// The empty state set `⊥ = ∅`.
     pub fn empty(&self) -> StateSet {
         BitVecSet::new(self.inner.size)
@@ -317,9 +351,80 @@ impl Universe {
     }
 }
 
+/// The row iterator of a box; see [`Universe::rows`].
+#[derive(Clone, Debug)]
+pub struct Rows<'a> {
+    universe: &'a Universe,
+    bounds: &'a [(i64, i64)],
+    /// The values of every variable but the last for the next row.
+    prefix: Vec<i64>,
+    done: bool,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.done {
+            return None;
+        }
+        let inner = &self.universe.inner;
+        let last = self.bounds.len() - 1;
+        let (lo, hi) = self.bounds[last];
+        let mut start = (lo - inner.vars[last].lo) as usize;
+        for (i, &x) in self.prefix.iter().enumerate() {
+            start += (x - inner.vars[i].lo) as usize * inner.strides[i];
+        }
+        // Advance the prefix odometer; the row just built was the last
+        // one when every digit wraps.
+        self.done = true;
+        for i in (0..last).rev() {
+            if self.prefix[i] < self.bounds[i].1 {
+                self.prefix[i] += 1;
+                self.done = false;
+                break;
+            }
+            self.prefix[i] = self.bounds[i].0;
+        }
+        Some((start, start + (hi - lo) as usize))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rows_match_per_store_enumeration() {
+        let u = Universe::new(&[("x", -1, 2), ("y", 0, 2), ("z", 3, 7)]).unwrap();
+        let bounds = [(0, 2), (1, 1), (4, 6)];
+        let rows: Vec<(usize, usize)> = u.rows(&bounds).collect();
+        let mut expect: Vec<(usize, usize)> = Vec::new();
+        for (i, s) in u.iter_stores() {
+            let inside = s
+                .iter()
+                .zip(&bounds)
+                .all(|(&v, &(lo, hi))| lo <= v && v <= hi);
+            if !inside {
+                continue;
+            }
+            match expect.last_mut() {
+                Some(row) if row.1 + 1 == i && s[2] != bounds[2].0 => row.1 = i,
+                _ => expect.push((i, i)),
+            }
+        }
+        assert_eq!(rows, expect);
+        assert_eq!(u.rows(&[(0, 2), (2, 1), (4, 6)]).count(), 0, "empty box");
+        let one = Universe::new(&[("x", 0, 9)]).unwrap();
+        assert_eq!(one.rows(&[(2, 5)]).collect::<Vec<_>>(), vec![(2, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves")]
+    fn rows_reject_out_of_range_boxes() {
+        let u = Universe::new(&[("x", 0, 3)]).unwrap();
+        let _ = u.rows(&[(0, 4)]);
+    }
 
     #[test]
     fn universe_size_and_indexing_roundtrip() {

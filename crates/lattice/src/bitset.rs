@@ -380,6 +380,164 @@ impl BitVecSet {
             .find(|(_, &w)| w != 0)
             .map(|(wi, &w)| wi * WORD_BITS + w.trailing_zeros() as usize)
     }
+
+    // Range kernels. Each works on the inclusive index range `[a, b]` one
+    // word at a time: a masked edge word at either end and whole words in
+    // between. `a > b` is the empty range.
+
+    /// The words overlapping `[a, b]`, each paired with the mask of its
+    /// bits inside the range, in ascending word order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    fn range_masks(&self, a: usize, b: usize) -> impl DoubleEndedIterator<Item = (usize, u64)> {
+        assert!(
+            a > b || b < self.nbits,
+            "range [{a}, {b}] out of capacity {}",
+            self.nbits
+        );
+        let (first, last) = (a / WORD_BITS, b / WORD_BITS);
+        let count = if a > b { 0 } else { last - first + 1 };
+        (first..first + count).map(move |w| {
+            let lo = if w == first { a % WORD_BITS } else { 0 };
+            let hi = if w == last {
+                b % WORD_BITS
+            } else {
+                WORD_BITS - 1
+            };
+            (w, (u64::MAX << lo) & (u64::MAX >> (WORD_BITS - 1 - hi)))
+        })
+    }
+
+    /// Inserts every index in `[a, b]`, returning `true` if any was absent.
+    /// Like [`insert`](Self::insert), a call that changes nothing neither
+    /// unshares the words nor resets the cached hash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn fill_range(&mut self, a: usize, b: usize) -> bool {
+        if self.all_in_range(a, b) {
+            return false;
+        }
+        let masks = self.range_masks(a, b);
+        let bits = self.bits_mut();
+        for (w, m) in masks {
+            bits[w] |= m;
+        }
+        true
+    }
+
+    /// Removes every index in `[a, b]`, returning `true` if any was
+    /// present. Like [`remove`](Self::remove), a call that changes nothing
+    /// neither unshares the words nor resets the cached hash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn clear_range(&mut self, a: usize, b: usize) -> bool {
+        if !self.any_in_range(a, b) {
+            return false;
+        }
+        let masks = self.range_masks(a, b);
+        let bits = self.bits_mut();
+        for (w, m) in masks {
+            bits[w] &= !m;
+        }
+        true
+    }
+
+    /// Returns `true` if every index in `[a, b]` is in the set (vacuously
+    /// for an empty range).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn all_in_range(&self, a: usize, b: usize) -> bool {
+        let bits = self.bits();
+        self.range_masks(a, b).all(|(w, m)| bits[w] & m == m)
+    }
+
+    /// Returns `true` if some index in `[a, b]` is in the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn any_in_range(&self, a: usize, b: usize) -> bool {
+        self.first_set_in(a, b).is_some()
+    }
+
+    /// The smallest member in `[a, b]`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn first_set_in(&self, a: usize, b: usize) -> Option<usize> {
+        self.first_in(a, b, 0)
+    }
+
+    /// The largest member in `[a, b]`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn last_set_in(&self, a: usize, b: usize) -> Option<usize> {
+        self.last_in(a, b, 0)
+    }
+
+    /// The smallest non-member in `[a, b]`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn first_clear_in(&self, a: usize, b: usize) -> Option<usize> {
+        self.first_in(a, b, u64::MAX)
+    }
+
+    /// The largest non-member in `[a, b]`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn last_clear_in(&self, a: usize, b: usize) -> Option<usize> {
+        self.last_in(a, b, u64::MAX)
+    }
+
+    /// The maximal runs of members inside `[a, b]`, as inclusive
+    /// `(start, end)` pairs in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `b >= capacity()`.
+    pub fn runs_in(&self, a: usize, b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut from = a;
+        std::iter::from_fn(move || {
+            let start = self.first_set_in(from, b)?;
+            let end = self.first_clear_in(start, b).map_or(b, |c| c - 1);
+            from = end + 1;
+            Some((start, end))
+        })
+    }
+
+    /// The first index in `[a, b]` whose bit, XOR-ed with `flip`, is set
+    /// (`flip = 0` finds members, `u64::MAX` non-members).
+    fn first_in(&self, a: usize, b: usize, flip: u64) -> Option<usize> {
+        let bits = self.bits();
+        self.range_masks(a, b).find_map(|(w, m)| {
+            let x = (bits[w] ^ flip) & m;
+            (x != 0).then(|| w * WORD_BITS + x.trailing_zeros() as usize)
+        })
+    }
+
+    /// The last index in `[a, b]` whose bit, XOR-ed with `flip`, is set.
+    fn last_in(&self, a: usize, b: usize, flip: u64) -> Option<usize> {
+        let bits = self.bits();
+        self.range_masks(a, b).rev().find_map(|(w, m)| {
+            let x = (bits[w] ^ flip) & m;
+            (x != 0).then(|| w * WORD_BITS + (WORD_BITS - 1) - x.leading_zeros() as usize)
+        })
+    }
 }
 
 impl fmt::Debug for BitVecSet {
@@ -598,6 +756,52 @@ mod tests {
         a.remove(50);
         assert_eq!(before, h(&a), "equal contents, equal hash");
         assert_eq!(a, BitVecSet::from_indices(100, [1, 2, 3]));
+        // The range mutators invalidate exactly like insert/remove: a
+        // change resets the hash, a no-op keeps the shared block.
+        assert!(a.fill_range(60, 70));
+        assert_ne!(before, h(&a), "hash invalidated by fill_range");
+        let filled = h(&a);
+        let shared = a.clone();
+        assert!(!a.fill_range(62, 68), "already full: no change");
+        assert!(
+            Arc::ptr_eq(&a.words, &shared.words),
+            "no-op fill keeps sharing"
+        );
+        assert_eq!(filled, h(&a));
+        assert!(a.clear_range(60, 70));
+        assert_ne!(filled, h(&a), "hash invalidated by clear_range");
+        assert_eq!(before, h(&a), "equal contents, equal hash");
+        let shared = a.clone();
+        assert!(!a.clear_range(40, 99), "already clear: no change");
+        assert!(
+            Arc::ptr_eq(&a.words, &shared.words),
+            "no-op clear keeps sharing"
+        );
+        assert_eq!(a, BitVecSet::from_indices(100, [1, 2, 3]));
+    }
+
+    #[test]
+    fn range_kernels_on_word_seams() {
+        let s = BitVecSet::from_indices(200, [0, 63, 64, 127, 128, 199]);
+        assert_eq!(s.first_set_in(1, 199), Some(63));
+        assert_eq!(s.last_set_in(0, 126), Some(64));
+        assert_eq!(s.first_clear_in(63, 64), None);
+        assert_eq!(s.first_clear_in(63, 65), Some(65));
+        assert_eq!(s.last_clear_in(0, 64), Some(62));
+        assert!(s.all_in_range(127, 128));
+        assert!(!s.any_in_range(129, 198));
+        // An empty range (a > b) is vacuous.
+        assert!(s.all_in_range(5, 4) && !s.any_in_range(5, 4));
+        assert_eq!(s.first_set_in(5, 4), None);
+        let mut f = BitVecSet::new(130);
+        assert!(f.fill_range(0, 129));
+        assert!(f.is_full());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of capacity")]
+    fn range_past_capacity_panics() {
+        BitVecSet::new(70).any_in_range(0, 70);
     }
 
     #[test]

@@ -773,51 +773,81 @@ impl SymState {
     /// Builds a symbolic set from an explicit bitset over the same shape
     /// (bit `i` set ⇔ store with index `i` is a member). The bitset's
     /// capacity must equal the shape's size.
+    ///
+    /// Works a row at a time: each row of the last level becomes the leaf
+    /// segments of its runs of members, found with the bitset's range
+    /// kernels; empty blocks are skipped whole.
     pub fn from_bitset(shape: &SymShape, set: &BitVecSet) -> Self {
         debug_assert_eq!(set.capacity() as u128, shape.size());
-        let mut idxs: Vec<u128> = Vec::with_capacity(set.len());
-        set.for_each_index(|i| idxs.push(i as u128));
         SymState {
             shape: shape.clone(),
-            root: build_from_indices(shape, &idxs, 0),
+            root: build_from_bitset(shape, set, 0, 0),
         }
     }
 
     /// Materializes the set as an explicit bitset. Only valid when the
-    /// shape's size fits in `usize`.
+    /// shape's size fits in `usize`. Each leaf segment is filled as one
+    /// index range.
     pub fn to_bitset(&self) -> BitVecSet {
+        fn go(shape: &SymShape, child: &Child, depth: usize, base: usize, out: &mut BitVecSet) {
+            let Child::Node(n) = child else {
+                out.insert(base); // a zero-level shape's single store
+                return;
+            };
+            let (rlo, _) = shape.range(depth);
+            let stride = shape.stride(depth) as usize;
+            let offset = |v: i64| base + (v as i128 - rlo as i128) as usize * stride;
+            for &(a, b, ref c) in &n.segs {
+                if depth + 1 == shape.levels() {
+                    out.fill_range(offset(a), offset(b));
+                } else {
+                    for v in a..=b {
+                        go(shape, c, depth + 1, offset(v), out);
+                    }
+                }
+            }
+        }
         let nbits = usize::try_from(self.shape.size()).unwrap_or(usize::MAX);
         let mut out = BitVecSet::new(nbits);
-        self.for_each_index(|i| {
-            out.insert(i as usize);
-        });
+        if let Some(root) = &self.root {
+            go(&self.shape, root, 0, 0, &mut out);
+        }
         out
     }
 }
 
-fn build_from_indices(shape: &SymShape, idxs: &[u128], level: usize) -> Option<Child> {
-    if idxs.is_empty() {
+/// The diagram of `set`'s members in the block of indices that starts at
+/// `base` and spans levels `level..` of the shape.
+fn build_from_bitset(
+    shape: &SymShape,
+    set: &BitVecSet,
+    level: usize,
+    base: usize,
+) -> Option<Child> {
+    if level == shape.levels() {
+        return set.contains(base).then_some(Child::Leaf);
+    }
+    let (rlo, rhi) = shape.range(level);
+    let stride = shape.stride(level) as usize;
+    let span = span((rlo, rhi)) as usize;
+    let end = base + span * stride - 1;
+    if !set.any_in_range(base, end) {
         return None;
     }
-    if level == shape.levels() {
-        return Some(Child::Leaf);
-    }
-    let stride = shape.stride(level);
-    let (rlo, _) = shape.range(level);
+    let value = |i: usize| (rlo as i128 + ((i - base) / stride) as i128) as i64;
     let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < idxs.len() {
-        let digit = idxs[start] / stride;
-        let mut end = start + 1;
-        while end < idxs.len() && idxs[end] / stride == digit {
-            end += 1;
+    if level + 1 == shape.levels() {
+        out.extend(
+            set.runs_in(base, end)
+                .map(|(a, b)| (value(a), value(b), Child::Leaf)),
+        );
+    } else {
+        for d in 0..span {
+            if let Some(child) = build_from_bitset(shape, set, level + 1, base + d * stride) {
+                let v = value(base + d * stride);
+                push_seg(&mut out, v, v, child);
+            }
         }
-        let rem: Vec<u128> = idxs[start..end].iter().map(|&i| i % stride).collect();
-        if let Some(child) = build_from_indices(shape, &rem, level + 1) {
-            let v = (rlo as i128 + digit as i128) as i64;
-            push_seg(&mut out, v, v, child);
-        }
-        start = end;
     }
     mk(out)
 }
